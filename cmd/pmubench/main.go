@@ -460,7 +460,10 @@ func main() {
 	}
 
 	jsonResults := []jsonResult{}
-	emitFull := func(name string, t *report.Table, ms []experiments.Measurement, mux []experiments.MuxMeasurement) {
+	// emit prints one experiment's table and records its JSON document;
+	// cells is the experiment's per-cell result slice (nil for table-only
+	// experiments), filed under the field of its kind.
+	emit := func(name string, t *report.Table, cells any) {
 		// stdout carries at most one document: "-json -" or "-telemetry -"
 		// suppress the human tables.
 		if *jsonPath != "-" && *teleFile != "-" {
@@ -471,27 +474,22 @@ func main() {
 			}
 		}
 		if *jsonPath != "" {
-			jsonResults = append(jsonResults, jsonResult{
-				Experiment:      name,
-				Scale:           scale.Name,
-				Seed:            *seed,
-				Parallel:        *parallel,
-				Measurements:    ms,
-				MuxMeasurements: mux,
-				Table:           t.String(),
-			})
-		}
-	}
-	emit := func(name string, t *report.Table, ms []experiments.Measurement) {
-		emitFull(name, t, ms, nil)
-	}
-	emitMux := func(name string, t *report.Table, ms []experiments.MuxMeasurement) {
-		emitFull(name, t, nil, ms)
-	}
-	emitTenants := func(name string, t *report.Table, ms []experiments.TenantMeasurement) {
-		emitFull(name, t, nil, nil)
-		if *jsonPath != "" {
-			jsonResults[len(jsonResults)-1].TenantMeasurements = ms
+			res := jsonResult{
+				Experiment: name,
+				Scale:      scale.Name,
+				Seed:       *seed,
+				Parallel:   *parallel,
+				Table:      t.String(),
+			}
+			switch ms := cells.(type) {
+			case []experiments.Measurement:
+				res.Measurements = ms
+			case []experiments.MuxMeasurement:
+				res.MuxMeasurements = ms
+			case []experiments.TenantMeasurement:
+				res.TenantMeasurements = ms
+			}
+			jsonResults = append(jsonResults, res)
 		}
 	}
 
@@ -519,172 +517,118 @@ func main() {
 		return t2res, nil
 	}
 
-	run := func(name string) error {
+	// matrix unpacks a matrix experiment's result into run's shape.
+	matrix := func(tr *experiments.TableResult, err error) (*report.Table, any, error) {
+		if err != nil {
+			return nil, nil, err
+		}
+		return tr.Table, tr.Measurements, nil
+	}
+	// run dispatches one experiment and returns its table and per-cell
+	// results (nil for table-only experiments) for emit.
+	run := func(name string) (*report.Table, any, error) {
 		switch name {
 		case "table1":
-			tr, err := table1()
-			if err != nil {
-				return err
-			}
-			emit(name, tr.Table, tr.Measurements)
+			return matrix(table1())
 		case "table2":
-			tr, err := table2()
-			if err != nil {
-				return err
-			}
-			emit(name, tr.Table, tr.Measurements)
+			return matrix(table2())
 		case "table3":
-			emit(name, experiments.RunTable3(), nil)
+			return experiments.RunTable3(), nil, nil
 		case "factors":
 			t1, err := table1()
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			t2, err := table2()
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			emit(name, r.RunFactors(t1, t2).Table, nil)
+			return r.RunFactors(t1, t2).Table, nil, nil
 		case "ipfix":
 			res, err := r.RunIPFix()
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			emit(name, res.Table, nil)
+			return res.Table, nil, nil
 		case "ranking":
 			res, err := r.RunRanking()
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			emit(name, res.Table, nil)
+			return res.Table, nil, nil
 		case "ablate-skid":
 			t, _, err := r.AblateSkid()
-			if err != nil {
-				return err
-			}
-			emit(name, t, nil)
+			return t, nil, err
 		case "ablate-period":
 			t, _, err := r.AblatePeriod()
-			if err != nil {
-				return err
-			}
-			emit(name, t, nil)
+			return t, nil, err
 		case "ablate-lbr":
 			t, _, err := r.AblateLBRDepth()
-			if err != nil {
-				return err
-			}
-			emit(name, t, nil)
+			return t, nil, err
 		case "ablate-burst":
 			t, _, err := r.AblateBurst()
-			if err != nil {
-				return err
-			}
-			emit(name, t, nil)
+			return t, nil, err
 		case "ablate-rand":
 			t, _, err := r.AblateRandAmp()
-			if err != nil {
-				return err
-			}
-			emit(name, t, nil)
+			return t, nil, err
 		case "overhead":
 			t, _, err := r.RunOverhead()
-			if err != nil {
-				return err
-			}
-			emit(name, t, nil)
+			return t, nil, err
 		case "freq":
 			res, err := r.RunFreqVsFixed()
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			emit(name, res.Table, nil)
+			return res.Table, nil, nil
 		case "lbr-contention":
 			t, _, err := r.RunLBRContention()
-			if err != nil {
-				return err
-			}
-			emit(name, t, nil)
+			return t, nil, err
 		case "stability":
 			res, err := r.RunStability(5)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			emit(name, res.Table, nil)
+			return res.Table, nil, nil
 		case "future-hw":
 			res, err := r.RunFutureHW()
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			emit(name, res.Table, nil)
+			return res.Table, nil, nil
 		case "mux-events":
-			t, ms, err := r.RunMuxEvents()
-			if err != nil {
-				return err
-			}
-			emitMux(name, t, ms)
+			return r.RunMuxEvents()
 		case "mux-timeslice":
-			t, ms, err := r.RunMuxTimeslice()
-			if err != nil {
-				return err
-			}
-			emitMux(name, t, ms)
+			return r.RunMuxTimeslice()
 		case "mux-policy":
-			t, ms, err := r.RunMuxPolicy()
-			if err != nil {
-				return err
-			}
-			emitMux(name, t, ms)
+			return r.RunMuxPolicy()
 		case "mux":
 			if len(muxEvents) == 0 {
-				return fmt.Errorf("-experiment mux needs -events (e.g. -events inst_retired,load,br_taken)")
+				return nil, nil, fmt.Errorf("-experiment mux needs -events (e.g. -events inst_retired,load,br_taken)")
 			}
-			t, ms, err := r.RunMuxCustom(muxEvents, *timeslice, policy)
-			if err != nil {
-				return err
-			}
-			emitMux(name, t, ms)
+			return r.RunMuxCustom(muxEvents, *timeslice, policy)
 		case "tenants":
-			t, ms, err := r.RunTenants(tenantCounts, *switchCost)
-			if err != nil {
-				return err
-			}
-			emitTenants(name, t, ms)
+			return r.RunTenants(tenantCounts, *switchCost)
 		case "tenants-timeslice":
-			t, ms, err := r.RunTenantsTimeslice(*switchCost)
-			if err != nil {
-				return err
-			}
-			emitTenants(name, t, ms)
+			return r.RunTenantsTimeslice(*switchCost)
 		case "phased":
-			tr, err := r.RunPhased()
-			if err != nil {
-				return err
-			}
-			emit(name, tr.Table, tr.Measurements)
+			return matrix(r.RunPhased())
 		case "spec":
 			if *specFile == "" {
-				return fmt.Errorf("-experiment spec needs -spec FILE")
+				return nil, nil, fmt.Errorf("-experiment spec needs -spec FILE")
 			}
 			s, err := workloads.LoadPhasedSpec(*specFile)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			ws, err := s.WorkloadSpec()
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			tr, err := r.RunWorkloads(
+			return matrix(r.RunWorkloads(
 				fmt.Sprintf("Spec %s (%s): sampling-method accuracy errors (lower is better)", s.Name, s.Fingerprint()),
-				[]workloads.Spec{ws})
-			if err != nil {
-				return err
-			}
-			emit(name, tr.Table, tr.Measurements)
-		default:
-			return unknownExperimentErr(name)
+				[]workloads.Spec{ws}))
 		}
-		return nil
+		return nil, nil, unknownExperimentErr(name)
 	}
 
 	names := []string{*experiment}
@@ -697,11 +641,13 @@ func main() {
 	}
 	exitCode := 0
 	for _, name := range names {
-		if err := run(name); err != nil {
+		t, cells, err := run(name)
+		if err != nil {
 			logger.Error("experiment failed", "experiment", name, "run_id", runID, "err", err)
 			exitCode = 1
 			break
 		}
+		emit(name, t, cells)
 	}
 
 	// The JSON document is written even after a mid-run failure, so a

@@ -25,16 +25,16 @@
 // -table phased: the accuracy matrix on non-stationary mixes, kept out
 // of the paper-shaped kernel and application tables.
 // Counter-multiplexing cells (written by `pmubench -experiment
-// mux-events|mux-timeslice|mux-policy -store`, method keys "mux-*") are
-// kept out of the accuracy tables and rendered by -table mux as their
-// own matrix of exact-vs-scaled counting errors. Multi-tenant
-// scheduling cells (written by `pmubench -experiment
-// tenants|tenants-timeslice -store`, method keys "tn-*") likewise form
-// their own family, rendered by -table tenants as the accuracy matrix
-// under scheduling noise. -markdown and -csv
-// switch the
-// output format (plain aligned text by default); -csv emits a single
-// rectangle, so it requires picking one table with -table.
+// mux-events|mux-timeslice|mux-policy -store`, stored under
+// experiments.MuxKey method keys) are kept out of the accuracy tables
+// and rendered by -table mux as their own matrix of exact-vs-scaled
+// counting errors. Multi-tenant scheduling cells (written by `pmubench
+// -experiment tenants|tenants-timeslice -store`, stored under
+// experiments.TenantKey method keys) likewise form their own family,
+// rendered by -table tenants as the accuracy matrix under scheduling
+// noise; experiments.KeyKind tells the kinds apart. -markdown and -csv
+// switch the output format (plain aligned text by default); -csv emits a
+// single rectangle, so it requires picking one table with -table.
 //
 // Compare mode diffs two stores cell-by-cell by (workload, machine,
 // method): cells whose error grew by more than -tol, and cells that lost
@@ -58,6 +58,7 @@ import (
 	"sort"
 	"strings"
 
+	"pmutrust/internal/experiments"
 	"pmutrust/internal/machine"
 	"pmutrust/internal/report"
 	"pmutrust/internal/results"
@@ -201,13 +202,13 @@ func canonicalOrders() (workloadOrder, machineOrder, methodOrder []string) {
 }
 
 // split partitions records into the kernel, application, phased,
-// multiplexing and tenant groups. Counter-multiplexing cells (method
-// key "mux-*") and multi-tenant scheduling cells (method key "tn-*")
-// route first regardless of workload; then registry Kind decides:
-// kernels and apps form the paper's table pair, registered phased
-// workloads (and any "Phased*"-named user spec measured via `pmubench
-// -spec`) form the phased family; remaining unknown workloads land with
-// the apps (user additions, which the paper treats as applications).
+// multiplexing and tenant groups. Mux and tenant cells route first
+// regardless of workload, by the cell kind experiments.KeyKind reads off
+// the method key; then registry Kind decides: kernels and apps form the
+// paper's table pair, registered phased workloads (and any
+// "Phased*"-named user spec measured via `pmubench -spec`) form the
+// phased family; remaining unknown workloads land with the apps (user
+// additions, which the paper treats as applications).
 func split(recs []results.Record) (kernels, apps, phased, mux, tenants []results.Record) {
 	kind := make(map[string]workloads.Kind)
 	for _, s := range workloads.All() {
@@ -215,10 +216,10 @@ func split(recs []results.Record) (kernels, apps, phased, mux, tenants []results
 	}
 	for _, rec := range recs {
 		k, ok := kind[rec.Workload]
-		switch {
-		case strings.HasPrefix(rec.Method, "mux-"):
+		switch cellKind := experiments.KeyKind(rec.Method); {
+		case cellKind == experiments.MuxCell:
 			mux = append(mux, rec)
-		case strings.HasPrefix(rec.Method, "tn-"):
+		case cellKind == experiments.TenantCell:
 			tenants = append(tenants, rec)
 		case ok && k == workloads.Kernel:
 			kernels = append(kernels, rec)
@@ -300,9 +301,9 @@ func runReport(storePath, table, baseline string, markdown, csvOut bool) error {
 			"Regenerated Table 7: accuracy improvement over "+baseline, baseline, acc, mto))
 	}
 	if want("mux") && len(mux) > 0 {
-		// Mux columns are the zero-padded "mux-<policy>-nNN-tsNNNNN" keys,
-		// which sort into (policy, events, timeslice) order on the sorted-
-		// unknown-methods path of report.Matrix.
+		// Mux columns are the zero-padded MuxKey keys, which sort into
+		// (policy, events, timeslice) order on the sorted-unknown-methods
+		// path of report.Matrix.
 		t := report.Matrix(
 			"Regenerated Table 8: multiplexing-induced counting error (mean |scaled-exact|/exact; lower is better)",
 			mux, wlo, mco, nil)
@@ -311,9 +312,9 @@ func runReport(storePath, table, baseline string, markdown, csvOut bool) error {
 		tables = append(tables, t)
 	}
 	if want("tenants") && len(tenants) > 0 {
-		// Tenant columns are the zero-padded "tn-nNN-tsNNNNN-<method>"
-		// keys, which sort into (count, timeslice, method) order on the
-		// sorted-unknown-methods path of report.Matrix.
+		// Tenant columns are the zero-padded TenantKey keys, which sort
+		// into (count, timeslice, method) order on the sorted-unknown-
+		// methods path of report.Matrix.
 		t := report.Matrix(
 			"Regenerated Table 10: accuracy error under multi-tenant scheduling (lower is better)",
 			tenants, wlo, mco, nil)

@@ -23,6 +23,7 @@ import (
 	"pmutrust/internal/ref"
 	"pmutrust/internal/results"
 	"pmutrust/internal/sampling"
+	"pmutrust/internal/sched"
 	"pmutrust/internal/stats"
 	"pmutrust/internal/telemetry"
 	"pmutrust/internal/workloads"
@@ -120,9 +121,10 @@ type Runner struct {
 	// and store fingerprints — do not depend on this; EngineBoth
 	// self-checks each cell at twice the cost.
 	Engine sampling.EngineMode
-	// Store, when non-nil, makes the matrix experiments (Tables 1 and 2)
-	// incremental: grid cells already present in the store are served
-	// from it and newly measured cells are appended (see SweepCached).
+	// Store, when non-nil, makes the matrix experiments (Tables 1, 2 and
+	// 9, and the mux and tenant tables) incremental: grid cells already
+	// present in the store are served from it and newly measured cells
+	// are appended (see MeasureCell).
 	// Any results.Store backend works — a FileStore for single-file
 	// resume, a DirStore merged view for distributed sweeps.
 	Store results.Store
@@ -226,86 +228,124 @@ func (r *Runner) Reference(spec workloads.Spec) (*ref.Profile, error) {
 	return e.rp, e.err
 }
 
-// repeatSeed derives the seed for one repeat of one grid cell. It is a
-// pure function of (base seed, cell identity, repeat), which is what
-// makes sweep results independent of scheduling.
-func (r *Runner) repeatSeed(spec workloads.Spec, mach machine.Machine, m sampling.Method, rep int) uint64 {
-	return stats.DeriveSeed(r.Seed, spec.Name, mach.Name, m.Key, strconv.Itoa(rep))
+// repeatSeed derives the seed for one repeat of one cell. It is a pure
+// function of (base seed, cell identity, repeat), which is what makes
+// sweep results independent of scheduling. Accuracy and tenant cells
+// derive it from the plain method key — so a one-tenant cell is its
+// accuracy cell bit for bit — and mux cells from their MuxKey.
+func (r *Runner) repeatSeed(c Cell, rep int) uint64 {
+	key := c.Method.Key
+	if c.Regime.Kind == MuxCell {
+		key = c.Key()
+	}
+	return stats.DeriveSeed(r.Seed, c.Workload.Name, c.Machine.Name, key, strconv.Itoa(rep))
 }
 
-// MeasureOnce runs one (workload, machine, method) measurement with one
-// seed and returns the accuracy error and the sample count.
-func (r *Runner) MeasureOnce(spec workloads.Spec, mach machine.Machine, m sampling.Method, seed uint64) (float64, int, error) {
-	p := r.Workload(spec)
-	reference, err := r.Reference(spec)
-	if err != nil {
-		return 0, 0, err
-	}
-	run, err := sampling.Collect(p, mach, m, sampling.Options{
+// collect runs one collection of cell c with the given seed; the regime
+// selects the collector. Tenant cells run the workload as every tenant
+// of one scheduled core (homogeneous tenancy, the self-interference
+// worst case) and return the measured tenant 0's run; with one tenant the
+// scheduler delegates to sampling.Collect, so the run is the accuracy
+// cell's. Mux cells add the counting events to the sampling collection.
+func (r *Runner) collect(c Cell, p *program.Program, seed uint64) (*sampling.Run, error) {
+	opt := sampling.Options{
 		PeriodBase: r.Scale.PeriodBase,
 		Seed:       seed,
 		Engine:     r.Engine,
 		Telemetry:  r.Telemetry,
-	})
+	}
+	switch c.Regime.Kind {
+	case MuxCell:
+		opt.Events, opt.MuxTimesliceCycles, opt.MuxPolicy = c.Regime.Events, c.timeslice(), c.Regime.Policy
+	case TenantCell:
+		opt.SchedTimesliceCycles, opt.SchedSwitchCostCycles = c.timeslice(), c.Regime.SwitchCost
+		progs := make([]*program.Program, c.Regime.Tenants)
+		for i := range progs {
+			progs[i] = p
+		}
+		runs, err := sched.Collect(progs, c.Machine, c.Method, sched.Options{Options: opt})
+		if err != nil {
+			return nil, err
+		}
+		return runs[0], nil
+	}
+	return sampling.Collect(p, c.Machine, c.Method, opt)
+}
+
+// measureOnce runs one repeat of an accuracy or tenant cell with one seed
+// and returns the (measured tenant's) accuracy error, sample count and
+// scheduling noise (nil when unscheduled).
+func (r *Runner) measureOnce(c Cell, seed uint64) (float64, int, *sampling.SchedStats, error) {
+	p := r.Workload(c.Workload)
+	reference, err := r.Reference(c.Workload)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, nil, err
+	}
+	run, err := r.collect(c, p, seed)
+	if err != nil {
+		return 0, 0, nil, err
 	}
 	var bp *profile.BlockProfile
 	if run.Method.UseLBRStack {
 		bp, _, err = lbr.BuildProfile(p, run)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, nil, err
 		}
 	} else {
 		bp = profile.FromSamples(p, run)
 	}
 	e, err := analysis.AccuracyError(bp, reference)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, nil, err
 	}
-	return e, len(run.Samples), nil
+	return e, len(run.Samples), run.Sched, nil
 }
 
-// Measure runs the configured number of repeats and averages. Each
-// repeat uses a seed derived from the cell identity (see repeatSeed);
-// Samples records the count of the first successful repeat, so the field
-// is well-defined under concurrency. When some repeats fail, the
-// successful ones are still aggregated into the returned Measurement and
-// the per-repeat failures come back joined into one error.
-func (r *Runner) Measure(spec workloads.Spec, mach machine.Machine, m sampling.Method) (Measurement, error) {
-	meas := Measurement{
-		Workload: spec.Name,
-		Machine:  mach.Name,
-		Method:   m.Key,
-	}
-	if _, ok := sampling.Resolve(m, mach); !ok {
-		meas.Err = -1
-		return meas, nil
-	}
-	meas.Supported = true
+// measure runs one cell and times it into the telemetry sink — every
+// measured cell, supported or not, so the sink's cell-wall histogram
+// count is the snapshot's cells_measured.
+func (r *Runner) measure(c Cell) (CellResult, error) {
 	if r.Telemetry != nil {
 		start := time.Now()
 		defer func() { r.Telemetry.ObserveCellWall(time.Since(start)) }()
 	}
-	var errs []float64
+	res := CellResult{Measurement: Measurement{Workload: c.Workload.Name, Machine: c.Machine.Name, Method: c.Key()}, cell: c}
+	if c.Regime.Kind == MuxCell {
+		return res, r.measureMux(c, &res)
+	}
+	if _, ok := sampling.Resolve(c.Method, c.Machine); !ok {
+		res.Err = -1
+		return res, nil
+	}
+	// The configured repeats, each with a seed derived from the cell
+	// identity; Samples and the scheduling noise come from the first
+	// successful repeat, so they are well-defined under concurrency. When
+	// some repeats fail, the successful ones are still aggregated and the
+	// per-repeat failures come back joined into one error.
+	res.Supported = true
 	var failures []error
 	for rep := 0; rep < r.Scale.Repeats; rep++ {
-		e, n, err := r.MeasureOnce(spec, mach, m, r.repeatSeed(spec, mach, m, rep))
+		e, n, sst, err := r.measureOnce(c, r.repeatSeed(c, rep))
 		if err != nil {
 			failures = append(failures, fmt.Errorf("repeat %d: %w", rep, err))
 			continue
 		}
-		if len(errs) == 0 {
-			meas.Samples = n
+		if len(res.PerRepeat) == 0 {
+			res.Samples, res.sched = n, sst
 		}
-		errs = append(errs, e)
+		res.PerRepeat = append(res.PerRepeat, e)
 	}
-	meas.PerRepeat = errs
-	meas.Failed = len(failures) > 0
-	if len(errs) > 0 {
-		meas.Err = stats.Mean(errs)
-	} else {
-		meas.Err = -1
+	res.Failed = len(failures) > 0
+	res.Err = -1
+	if len(res.PerRepeat) > 0 {
+		res.Err = stats.Mean(res.PerRepeat)
 	}
-	return meas, errors.Join(failures...)
+	return res, errors.Join(failures...)
+}
+
+// Measure runs one (workload, machine, method) accuracy cell over the
+// configured repeats and averages (see measure).
+func (r *Runner) Measure(spec workloads.Spec, mach machine.Machine, m sampling.Method) (Measurement, error) {
+	res, err := r.measure(Cell{Workload: spec, Machine: mach, Method: m})
+	return res.Measurement, err
 }

@@ -61,7 +61,7 @@ func TestFreqModeMassConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = p
-	e, n, err := r.MeasureOnce(spec, machine.IvyBridge(), freq, 3)
+	e, n, _, err := r.measureOnce(Cell{Workload: spec, Machine: machine.IvyBridge(), Method: freq}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

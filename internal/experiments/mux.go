@@ -16,9 +16,6 @@ import (
 	"pmutrust/internal/machine"
 	"pmutrust/internal/pmu"
 	"pmutrust/internal/report"
-	"pmutrust/internal/results"
-	"pmutrust/internal/sampling"
-	"pmutrust/internal/stats"
 	"pmutrust/internal/workloads"
 )
 
@@ -39,7 +36,7 @@ func MuxEventMenu() []pmu.Event {
 // lexically self-sorting, so report.Matrix orders columns by (policy,
 // events, timeslice) without a bespoke comparator.
 func MuxKey(policy pmu.MuxPolicy, nEvents int, timeslice uint64) string {
-	return fmt.Sprintf("mux-%s-n%02d-ts%05d", policy, nEvents, timeslice)
+	return fmt.Sprintf(muxKeyPrefix+"%s-n%02d-ts%05d", policy, nEvents, timeslice)
 }
 
 // MuxMeasurement is one multiplexing cell: the counting-error summary of
@@ -76,179 +73,78 @@ type MuxMeasurement struct {
 // for enabled/running extrapolation: the owned windows mostly miss the
 // bursts).
 func muxWorkloads() []workloads.Spec {
-	var specs []workloads.Spec
-	for _, name := range []string{"LatencyBiased", "G4Box", "PhaseShift", "PhasedBurst"} {
-		s, err := workloads.ByName(name)
-		if err != nil {
-			panic(err)
-		}
-		specs = append(specs, s)
-	}
-	return specs
-}
-
-// muxIdentity returns the results-store identity of a multiplexing cell:
-// the standard cell identity with the synthetic mux key on the method
-// axis, so mux records coexist with accuracy records in one store and
-// resume exactly like them.
-func (r *Runner) muxIdentity(spec workloads.Spec, mach machine.Machine, key string) results.Identity {
-	return results.Identity{
-		Workload:      spec.Name,
-		Machine:       mach.Name,
-		Method:        key,
-		Scale:         r.Scale.Name,
-		WorkloadScale: r.Scale.Workload,
-		PeriodBase:    r.Scale.PeriodBase,
-		Seed:          r.Seed,
-		Repeats:       r.Scale.Repeats,
-	}
-}
-
-// muxCellKey resolves the timeslice default and derives the cell's
-// synthetic method key — the single definition shared by measurement and
-// store lookup, so the two can never key a cell differently.
-func muxCellKey(events []pmu.Event, timeslice uint64, policy pmu.MuxPolicy) (uint64, string) {
-	if timeslice == 0 {
-		timeslice = pmu.DefaultMuxTimeslice
-	}
-	return timeslice, MuxKey(policy, len(events), timeslice)
+	return specsByName("LatencyBiased", "G4Box", "PhaseShift", "PhasedBurst")
 }
 
 // MeasureMux runs one multiplexed collection — classic sampling plus the
 // requested counting events — and summarizes the multiplexing-induced
 // counting error. A zero timeslice selects pmu.DefaultMuxTimeslice.
 func (r *Runner) MeasureMux(spec workloads.Spec, mach machine.Machine, events []pmu.Event, timeslice uint64, policy pmu.MuxPolicy) (MuxMeasurement, error) {
-	timeslice, key := muxCellKey(events, timeslice, policy)
-	meas := MuxMeasurement{Workload: spec.Name, Machine: mach.Name, Key: key}
+	res, err := r.measure(Cell{Workload: spec, Machine: mach, Method: methodsByKey("classic")[0],
+		Regime: Regime{Kind: MuxCell, Events: events, Timeslice: timeslice, Policy: policy}})
+	return res.mux(), err
+}
 
-	classic, err := sampling.MethodByKey("classic")
+// measureMux measures a mux cell: one collection seeded like a single
+// repeat, summarized under the store codec's mux convention (Err is the
+// mean per-event error, Samples the rotation count).
+func (r *Runner) measureMux(c Cell, res *CellResult) error {
+	run, err := r.collect(c, r.Workload(c.Workload), r.repeatSeed(c, 0))
 	if err != nil {
-		return meas, err
+		return err
 	}
-	p := r.Workload(spec)
-	run, err := sampling.Collect(p, mach, classic, sampling.Options{
-		PeriodBase:         r.Scale.PeriodBase,
-		Seed:               stats.DeriveSeed(r.Seed, spec.Name, mach.Name, key, "0"),
-		Engine:             r.Engine,
-		Events:             events,
-		MuxTimesliceCycles: timeslice,
-		MuxPolicy:          policy,
-		Telemetry:          r.Telemetry,
-	})
-	if err != nil {
-		return meas, err
-	}
-	meas.Rotations = run.MuxRotations
-	meas.Counts = run.Counts
-	var sum, max float64
-	for _, c := range run.Counts {
-		e := c.RelError()
+	var sum float64
+	for _, cnt := range run.Counts {
+		e := cnt.RelError()
 		sum += e
-		if e > max {
-			max = e
+		if e > res.maxErr {
+			res.maxErr = e
 		}
-		if c.RunningCycles == 0 {
-			meas.Starved++
+		if cnt.RunningCycles == 0 {
+			res.starved++
 		}
 	}
-	meas.MeanErr = sum / float64(len(run.Counts))
-	meas.MaxErr = max
-	return meas, nil
+	res.Err = sum / float64(len(run.Counts))
+	res.Samples = int(run.MuxRotations)
+	res.Supported = true
+	res.counts = run.Counts
+	return nil
 }
 
-// measureMuxCell is the store-aware wrapper around MeasureMux: cells
-// already in the Runner's store are served from it (summary only), new
-// measurements are appended, and the served/measured split feeds
-// StoreStats like every other cached sweep.
-func (r *Runner) measureMuxCell(spec workloads.Spec, mach machine.Machine, events []pmu.Event, timeslice uint64, policy pmu.MuxPolicy) (MuxMeasurement, error) {
-	timeslice, key := muxCellKey(events, timeslice, policy)
-	if r.Store != nil {
-		if rec, ok := r.Store.Get(r.muxIdentity(spec, mach, key).Key()); ok {
-			r.mu.Lock()
-			r.storeStats.Cached++
-			r.mu.Unlock()
-			return MuxMeasurement{
-				Workload: rec.Workload, Machine: rec.Machine, Key: rec.Method,
-				MeanErr: rec.Err, Rotations: uint64(rec.Samples),
-				// The store persists only the summary; mark the
-				// unrecoverable fields not-available rather than letting
-				// them read as genuinely zero.
-				MaxErr: -1, Starved: -1,
-			}, nil
-		}
+// mux is the MuxMeasurement view of a mux cell's result. A served cell
+// carries only the stored summary; its unrecoverable fields read -1
+// (not available) rather than a genuine zero.
+func (res CellResult) mux() MuxMeasurement {
+	m := MuxMeasurement{
+		Workload: res.Workload, Machine: res.Machine, Key: res.Method,
+		MeanErr: res.Err, MaxErr: res.maxErr, Rotations: uint64(res.Samples),
+		Starved: res.starved, Counts: res.counts,
 	}
-	meas, err := r.MeasureMux(spec, mach, events, timeslice, policy)
-	if err != nil {
-		return meas, err
+	if res.Served {
+		m.MaxErr, m.Starved = -1, -1
 	}
-	if r.Store != nil {
-		id := r.muxIdentity(spec, mach, key)
-		rec := results.Record{
-			Key:       id.Key(),
-			Identity:  id,
-			Err:       meas.MeanErr,
-			Samples:   int(meas.Rotations),
-			Supported: true,
-		}
-		if perr := r.Store.Put(rec); perr != nil {
-			return meas, perr
-		}
-	}
-	r.mu.Lock()
-	r.storeStats.Measured++
-	r.mu.Unlock()
-	return meas, nil
+	return m
 }
 
-// muxConfig is one column of a mux table.
-type muxConfig struct {
-	Label     string
-	Events    []pmu.Event
-	Timeslice uint64
-	Policy    pmu.MuxPolicy
-}
-
-// muxMatrix measures a (workload × machine × config) grid on the worker
-// pool and renders one row per workload × machine, one column per config
-// — the shape every mux table shares. The cell text is the mean relative
+// muxMatrix measures a (workload × machine × config) grid of mux cells
+// and renders one row per workload × machine, one column per config: the
+// shape every mux table shares. The cell text is the mean relative
 // counting error.
-func (r *Runner) muxMatrix(title string, configs []muxConfig) (*report.Table, []MuxMeasurement, error) {
-	specs := muxWorkloads()
-	machines := machine.All()
-	perRow := len(configs)
-	rows := len(specs) * len(machines)
-	out := make([]MuxMeasurement, rows*perRow)
+func (r *Runner) muxMatrix(title string, cols []column) (*report.Table, []MuxMeasurement, error) {
+	for i := range cols {
+		cols[i].Regime.Kind = MuxCell
+	}
+	g := Grid{Workloads: muxWorkloads(), Machines: machine.All(), Methods: methodsByKey("classic")}
+	t, res, err := r.regimeMatrix(title, []string{"workload", "machine"}, g, cols)
+	return t, muxMeasurements(res), err
+}
 
-	err := r.forEach(len(out), r.opts(), func(i int) error {
-		row, ci := splitIdx(i, perRow)
-		si, mi := splitIdx(row, len(machines))
-		cfg := configs[ci]
-		meas, err := r.measureMuxCell(specs[si], machines[mi], cfg.Events, cfg.Timeslice, cfg.Policy)
-		out[i] = meas
-		if err != nil {
-			return fmt.Errorf("%s/%s/%s: %w", specs[si].Name, machines[mi].Name, meas.Key, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, out, err
+func muxMeasurements(res []CellResult) []MuxMeasurement {
+	out := make([]MuxMeasurement, len(res))
+	for i := range res {
+		out[i] = res[i].mux()
 	}
-
-	headers := []string{"workload", "machine"}
-	for _, c := range configs {
-		headers = append(headers, c.Label)
-	}
-	t := report.New(title, headers...)
-	for si, spec := range specs {
-		for mi, mach := range machines {
-			row := []string{spec.Name, mach.Name}
-			for ci := range configs {
-				row = append(row, report.Fmt(out[flatIdx(flatIdx(si, mi, len(machines)), ci, perRow)].MeanErr))
-			}
-			t.AddRow(row...)
-		}
-	}
-	return t, out, nil
+	return out
 }
 
 // RunMuxEvents measures multiplexing error against the number of
@@ -257,16 +153,13 @@ func (r *Runner) muxMatrix(title string, configs []muxConfig) (*report.Table, []
 // stretches every event's extrapolation further.
 func (r *Runner) RunMuxEvents() (*report.Table, []MuxMeasurement, error) {
 	menu := MuxEventMenu()
-	var configs []muxConfig
+	var cols []column
 	for _, n := range []int{2, 4, 6, 8, 10} {
-		configs = append(configs, muxConfig{
-			Label:  fmt.Sprintf("n=%d", n),
-			Events: menu[:n],
-		})
+		cols = append(cols, column{Label: fmt.Sprintf("n=%d", n), Regime: Regime{Events: menu[:n]}})
 	}
 	t, ms, err := r.muxMatrix(
 		"Multiplexing error vs requested events (mean |scaled-exact|/exact; lower is better)",
-		configs)
+		cols)
 	if err == nil {
 		t.Note = fmt.Sprintf(
 			"Round-robin rotation, timeslice %d cycles; classic sampling pinned alongside. "+
@@ -283,17 +176,13 @@ func (r *Runner) RunMuxEvents() (*report.Table, []MuxMeasurement, error) {
 // aliasing blow-up when windows and phases are commensurate.
 func (r *Runner) RunMuxTimeslice() (*report.Table, []MuxMeasurement, error) {
 	menu := MuxEventMenu()
-	var configs []muxConfig
+	var cols []column
 	for _, ts := range []uint64{250, 1000, 4000, 16000} {
-		configs = append(configs, muxConfig{
-			Label:     fmt.Sprintf("ts=%d", ts),
-			Events:    menu[:8],
-			Timeslice: ts,
-		})
+		cols = append(cols, column{Label: fmt.Sprintf("ts=%d", ts), Regime: Regime{Events: menu[:8], Timeslice: ts}})
 	}
 	t, ms, err := r.muxMatrix(
 		"Multiplexing error vs rotation timeslice, 8 requested events (lower is better)",
-		configs)
+		cols)
 	if err == nil {
 		t.Note = "Round-robin rotation. PhaseShift alternates memory-only and FP/branch-only phases " +
 			"about one timeslice long: scaled counts assume stationary rates, so its errors dwarf the steady kernels'."
@@ -306,13 +195,13 @@ func (r *Runner) RunMuxTimeslice() (*report.Table, []MuxMeasurement, error) {
 // gives the first events exact counts and the rest nothing.
 func (r *Runner) RunMuxPolicy() (*report.Table, []MuxMeasurement, error) {
 	menu := MuxEventMenu()
-	configs := []muxConfig{
-		{Label: "round-robin", Events: menu[:8]},
-		{Label: "priority", Events: menu[:8], Policy: pmu.MuxPriority},
+	cols := []column{
+		{Label: "round-robin", Regime: Regime{Events: menu[:8]}},
+		{Label: "priority", Regime: Regime{Events: menu[:8], Policy: pmu.MuxPriority}},
 	}
 	t, ms, err := r.muxMatrix(
 		"Multiplexing error vs rotation policy, 8 requested events (lower is better)",
-		configs)
+		cols)
 	if err == nil {
 		t.Note = "Priority scheduling is perf's pinned-event mode: scheduled events are exact, " +
 			"overflow events are never counted (error 1 each, like perf's \"<not counted>\")."
@@ -322,23 +211,17 @@ func (r *Runner) RunMuxPolicy() (*report.Table, []MuxMeasurement, error) {
 
 // RunMuxCustom measures one explicit event list across the mux workloads
 // and machines and renders the full per-event accounting — the table
-// behind `pmubench -events`.
+// behind `pmubench -events`. It never touches the Runner's store: MuxKey
+// encodes only the event count, so two different lists of one length
+// would share a store key.
 func (r *Runner) RunMuxCustom(events []pmu.Event, timeslice uint64, policy pmu.MuxPolicy) (*report.Table, []MuxMeasurement, error) {
 	if len(events) == 0 {
 		return nil, nil, fmt.Errorf("experiments: empty event list")
 	}
-	specs := muxWorkloads()
-	machines := machine.All()
-	out := make([]MuxMeasurement, len(specs)*len(machines))
-	err := r.forEach(len(out), r.opts(), func(i int) error {
-		si, mi := splitIdx(i, len(machines))
-		meas, err := r.MeasureMux(specs[si], machines[mi], events, timeslice, policy)
-		out[i] = meas
-		if err != nil {
-			return fmt.Errorf("%s/%s: %w", specs[si].Name, machines[mi].Name, err)
-		}
-		return nil
-	})
+	g := Grid{Workloads: muxWorkloads(), Machines: machine.All(), Methods: methodsByKey("classic"),
+		Regimes: []Regime{{Kind: MuxCell, Events: events, Timeslice: timeslice, Policy: policy}}}
+	res, _, err := r.sweepCells(g.Cells(), nil, r.opts())
+	out := muxMeasurements(res)
 	if err != nil {
 		return nil, out, err
 	}
@@ -346,11 +229,10 @@ func (r *Runner) RunMuxCustom(events []pmu.Event, timeslice uint64, policy pmu.M
 	t := report.New(
 		fmt.Sprintf("Multiplexed counting: %s (policy %s)", pmu.EventListString(events), policy),
 		"workload", "machine", "event", "exact", "scaled", "rel err", "running/enabled", "rotations")
-	for i, meas := range out {
-		si, mi := splitIdx(i, len(machines))
+	for _, meas := range out {
 		for _, c := range meas.Counts {
 			exact, scaled, relErr, running := c.TableCells()
-			t.AddRow(specs[si].Name, machines[mi].Name, c.Event.String(),
+			t.AddRow(meas.Workload, meas.Machine, c.Event.String(),
 				exact, scaled, relErr, running, fmt.Sprintf("%d", meas.Rotations))
 		}
 	}

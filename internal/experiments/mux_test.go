@@ -201,4 +201,19 @@ func TestMuxKeySelfSorting(t *testing.T) {
 	if MuxKey(pmu.MuxRoundRobin, 8, 2000) != "mux-rr-n08-ts02000" {
 		t.Errorf("key format drifted: %s", MuxKey(pmu.MuxRoundRobin, 8, 2000))
 	}
+	// KeyKind inverts every key the builder produces — the routing
+	// pmureport relies on — and so does a mux cell's own Key.
+	for _, policy := range []pmu.MuxPolicy{pmu.MuxRoundRobin, pmu.MuxPriority} {
+		for n := 0; n <= len(MuxEventMenu()); n++ {
+			for _, ts := range []uint64{1, 250, 2000, 16000, 99999} {
+				if k := MuxKey(policy, n, ts); KeyKind(k) != MuxCell {
+					t.Errorf("KeyKind(%q) = %d, want MuxCell", k, KeyKind(k))
+				}
+			}
+			c := Cell{Regime: Regime{Kind: MuxCell, Events: MuxEventMenu()[:n], Policy: policy}}
+			if KeyKind(c.Key()) != c.Regime.Kind {
+				t.Errorf("mux cell key %q maps to kind %d", c.Key(), KeyKind(c.Key()))
+			}
+		}
+	}
 }

@@ -8,37 +8,41 @@ import (
 
 	"pmutrust/internal/machine"
 	"pmutrust/internal/results"
-	"pmutrust/internal/sampling"
 	"pmutrust/internal/workloads"
 )
 
 // TestPhasedIdentityKeysStable pins the results-store identity keys of
 // the phased family (and one pre-existing workload as the control) under
-// the canonical SmallScale/seed-42 runner. These hexes are what stored
-// sweeps are addressed by: if this test fails, a change has silently
-// invalidated every existing store file — either revert it or document
-// the store-format break.
+// the canonical SmallScale/seed-42 runner, plus one mux and one tenant
+// cell, whose regime rides the method axis of the same identity. These
+// hexes are what stored sweeps are addressed by: if this test fails, a
+// change has silently invalidated every existing store file — either
+// revert it or document the store-format break.
 func TestPhasedIdentityKeysStable(t *testing.T) {
-	want := map[string]string{
-		"LatencyBiased": "6509494207d7f277", // control: pre-existing key unchanged
-		"PhaseShift":    "8528d479b0394d2d",
-		"PhasedAlt":     "55bde39dfa377337",
-		"PhasedBurst":   "102011b9dff02eb6",
-		"PhasedRamp":    "ebde8bf638321204",
-	}
 	r := NewRunner(SmallScale(), 42)
-	classic, err := sampling.MethodByKey("classic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, wantKey := range want {
+	classic := methodsByKey("classic")[0]
+	cell := func(name string, rg Regime) Cell {
 		spec, err := workloads.ByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		c := Cell{Workload: spec, Machine: machine.IvyBridge(), Method: classic}
-		if got := r.CellIdentity(c).Key(); got != wantKey {
-			t.Errorf("%s: identity key %s, want %s (store compatibility break)", name, got, wantKey)
+		return Cell{Workload: spec, Machine: machine.IvyBridge(), Method: classic, Regime: rg}
+	}
+	for _, tc := range []struct {
+		c    Cell
+		want string
+	}{
+		{cell("LatencyBiased", Regime{}), "6509494207d7f277"}, // control: pre-existing key unchanged
+		{cell("PhaseShift", Regime{}), "8528d479b0394d2d"},
+		{cell("PhasedAlt", Regime{}), "55bde39dfa377337"},
+		{cell("PhasedBurst", Regime{}), "102011b9dff02eb6"},
+		{cell("PhasedRamp", Regime{}), "ebde8bf638321204"},
+		{cell("LatencyBiased", Regime{Kind: MuxCell, Events: MuxEventMenu()[:6]}), "72e4d679f19f9dfb"},
+		{cell("LatencyBiased", Regime{Kind: TenantCell, Tenants: 4}), "3801c56865e9a33b"},
+	} {
+		if got := r.CellIdentity(tc.c).Key(); got != tc.want {
+			t.Errorf("%s/%s: identity key %s, want %s (store compatibility break)",
+				tc.c.Workload.Name, tc.c.Key(), got, tc.want)
 		}
 	}
 }

@@ -49,7 +49,7 @@ func (r *Runner) RunStability(n int) (*StabilityResult, error) {
 	errs := make([]float64, len(supported)*n)
 	err = r.forEach(len(errs), r.opts(), func(i int) error {
 		mi, rep := splitIdx(i, n)
-		e, _, err := r.MeasureOnce(spec, mach, supported[mi], r.Seed+uint64(rep)*7919)
+		e, _, _, err := r.measureOnce(Cell{Workload: spec, Machine: mach, Method: supported[mi]}, r.Seed+uint64(rep)*7919)
 		errs[i] = e
 		return err
 	})

@@ -3,22 +3,61 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"pmutrust/internal/machine"
+	"pmutrust/internal/pmu"
 	"pmutrust/internal/pool"
+	"pmutrust/internal/results"
 	"pmutrust/internal/sampling"
+	"pmutrust/internal/sched"
 	"pmutrust/internal/workloads"
 )
 
-// Grid enumerates a (workload × machine × method) experiment matrix —
-// the shape of the paper's Tables 1 and 2 and of any full-factorial
-// method comparison.
+// Grid enumerates a (workload × machine × method × regime) experiment
+// matrix — the shape of the paper's Tables 1 and 2, of the mux and
+// tenant tables, and of any full-factorial method comparison.
 type Grid struct {
 	Workloads []workloads.Spec
 	Machines  []machine.Machine
 	Methods   []sampling.Method
+	// Regimes is the innermost axis; nil means the single zero regime,
+	// i.e. plain accuracy cells.
+	Regimes []Regime
+}
+
+// CellKind classifies a cell by its measurement regime — and the store
+// method key it is stored under (see Cell.Key and KeyKind).
+type CellKind int
+
+const (
+	// AccuracyCell is a plain (workload, machine, method) accuracy cell.
+	AccuracyCell CellKind = iota
+	// MuxCell measures the multiplexed counting error of an event list
+	// next to the cell's (classic) sampler.
+	MuxCell
+	// TenantCell measures the method's accuracy for one of N tenants
+	// timesharing one simulated core.
+	TenantCell
+)
+
+// Regime is a cell's measurement regime. The zero value is a plain
+// accuracy cell.
+type Regime struct {
+	Kind CellKind
+	// Events and Policy are a mux cell's counting-event request list and
+	// rotation policy.
+	Events []pmu.Event
+	Policy pmu.MuxPolicy
+	// Tenants is a tenant cell's tenant count; SwitchCost overrides the
+	// machine's context-switch cost in cycles (0 = per-machine default).
+	Tenants    int
+	SwitchCost uint64
+	// Timeslice is the mux rotation timeslice or the scheduler period in
+	// simulated cycles; 0 selects the regime's default.
+	Timeslice uint64
 }
 
 // Cell is one grid point.
@@ -26,17 +65,102 @@ type Cell struct {
 	Workload workloads.Spec
 	Machine  machine.Machine
 	Method   sampling.Method
+	Regime   Regime
+}
+
+// timeslice resolves the regime's timeslice default.
+func (c Cell) timeslice() uint64 {
+	switch {
+	case c.Regime.Timeslice != 0:
+		return c.Regime.Timeslice
+	case c.Regime.Kind == MuxCell:
+		return pmu.DefaultMuxTimeslice
+	case c.Regime.Kind == TenantCell:
+		return sched.DefaultPeriodCycles
+	}
+	return 0
+}
+
+// Key returns the method key the cell is stored under: the plain method
+// key for accuracy cells, MuxKey or TenantKey otherwise. It is the single
+// definition shared by measurement, store lookup and reports, so no two
+// of them can key a cell differently.
+func (c Cell) Key() string {
+	switch c.Regime.Kind {
+	case MuxCell:
+		return MuxKey(c.Regime.Policy, len(c.Regime.Events), c.timeslice())
+	case TenantCell:
+		return TenantKey(c.Regime.Tenants, c.timeslice(), c.Method.Key)
+	}
+	return c.Method.Key
+}
+
+// The store-key prefixes of the non-accuracy kinds. No registered
+// sampling method key starts with either.
+const (
+	muxKeyPrefix    = "mux-"
+	tenantKeyPrefix = "tn-"
+)
+
+// KeyKind reports which cell kind a store method key belongs to — the
+// inverse of Cell.Key, so readers of a results store (cmd/pmureport)
+// never parse the key format themselves.
+func KeyKind(method string) CellKind {
+	switch {
+	case strings.HasPrefix(method, muxKeyPrefix):
+		return MuxCell
+	case strings.HasPrefix(method, tenantKeyPrefix):
+		return TenantCell
+	}
+	return AccuracyCell
+}
+
+// specsByName and methodsByKey resolve the built-in workload names and
+// method keys an experiment definition names; a name the registry lacks
+// is a programming error, so they panic.
+func specsByName(names ...string) []workloads.Spec {
+	specs := make([]workloads.Spec, len(names))
+	for i, name := range names {
+		s, err := workloads.ByName(name)
+		if err != nil {
+			panic(err)
+		}
+		specs[i] = s
+	}
+	return specs
+}
+
+func methodsByKey(keys ...string) []sampling.Method {
+	ms := make([]sampling.Method, len(keys))
+	for i, key := range keys {
+		m, err := sampling.MethodByKey(key)
+		if err != nil {
+			panic(err)
+		}
+		ms[i] = m
+	}
+	return ms
+}
+
+func (g Grid) regimes() []Regime {
+	if len(g.Regimes) == 0 {
+		return []Regime{{}}
+	}
+	return g.Regimes
 }
 
 // Cells returns the grid's cells in canonical order: workloads outermost,
-// then machines, then methods. Sweep results follow this order no matter
-// how the cells were scheduled.
+// then machines, then methods, then regimes. Sweep results follow this
+// order no matter how the cells were scheduled.
 func (g Grid) Cells() []Cell {
-	cells := make([]Cell, 0, len(g.Workloads)*len(g.Machines)*len(g.Methods))
+	cells := make([]Cell, 0, g.Size())
+	regimes := g.regimes()
 	for _, spec := range g.Workloads {
 		for _, mach := range g.Machines {
 			for _, m := range g.Methods {
-				cells = append(cells, Cell{Workload: spec, Machine: mach, Method: m})
+				for _, rg := range regimes {
+					cells = append(cells, Cell{Workload: spec, Machine: mach, Method: m, Regime: rg})
+				}
 			}
 		}
 	}
@@ -44,7 +168,9 @@ func (g Grid) Cells() []Cell {
 }
 
 // Size returns the number of cells in the grid.
-func (g Grid) Size() int { return len(g.Workloads) * len(g.Machines) * len(g.Methods) }
+func (g Grid) Size() int {
+	return len(g.Workloads) * len(g.Machines) * len(g.Methods) * len(g.regimes())
+}
 
 // GridByName returns the cell grid of a named matrix experiment — the
 // exact cells RunTable1, RunTable2 and RunPhased sweep. The distributed
@@ -84,28 +210,34 @@ type SweepOptions struct {
 // their partial Measurement in the slice; the first failure (in cell
 // order) is returned as the error.
 func (r *Runner) Sweep(g Grid, opt SweepOptions) ([]Measurement, error) {
-	cells := g.Cells()
-	out := make([]Measurement, len(cells))
-	// Prefill cell identities so that on timeout an abandoned cell is a
-	// named no-result entry (Failed, Err -1) rather than an anonymous
-	// zero value — and distinguishable from a genuinely unsupported cell,
-	// which has Failed false.
+	ms, _, err := r.SweepCached(g, nil, opt)
+	return ms, err
+}
+
+// sweepCells is the one pool loop every sweep dispatches through: each
+// cell runs MeasureCell against st (nil: measure everything), results
+// come back in cell order. Cells abandoned by a timeout keep a named
+// no-result entry (Failed, Err -1) rather than an anonymous zero value —
+// distinguishable from a genuinely unsupported cell, which has Failed
+// false. The stats count served and measured cells; abandoned cells
+// count in neither.
+func (r *Runner) sweepCells(cells []Cell, st results.Store, opt SweepOptions) ([]CellResult, SweepStats, error) {
+	out := make([]CellResult, len(cells))
 	for i, c := range cells {
-		out[i] = Measurement{Workload: c.Workload.Name, Machine: c.Machine.Name, Method: c.Method.Key, Err: -1, Failed: true}
+		out[i] = CellResult{Measurement: Measurement{Workload: c.Workload.Name, Machine: c.Machine.Name, Method: c.Key(), Err: -1, Failed: true}, cell: c}
 	}
-	var measured atomic.Int64
+	var served, measured atomic.Int64
 	err := r.forEach(len(cells), opt, func(i int) error {
-		c := cells[i]
-		measured.Add(1)
-		meas, err := r.Measure(c.Workload, c.Machine, c.Method)
-		out[i] = meas
-		if err != nil {
-			return fmt.Errorf("%s/%s/%s: %w", c.Workload.Name, c.Machine.Name, c.Method.Key, err)
+		res, err := r.MeasureCell(cells[i], st)
+		out[i] = res
+		if res.Served {
+			served.Add(1)
+		} else {
+			measured.Add(1)
 		}
-		return nil
+		return err
 	})
-	r.Telemetry.CountCells(uint64(measured.Load()), 0)
-	return out, err
+	return out, SweepStats{Cached: int(served.Load()), Measured: int(measured.Load())}, err
 }
 
 // opts returns the Runner's default sweep options; the internal table

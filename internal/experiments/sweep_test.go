@@ -11,7 +11,9 @@ import (
 
 	"pmutrust/internal/machine"
 	"pmutrust/internal/pool"
+	"pmutrust/internal/results"
 	"pmutrust/internal/sampling"
+	"pmutrust/internal/telemetry"
 	"pmutrust/internal/workloads"
 )
 
@@ -109,7 +111,7 @@ func TestRepeatSeedsNoCollision(t *testing.T) {
 		for _, mach := range machine.All() {
 			for _, m := range sampling.Registry() {
 				for rep := 0; rep < r.Scale.Repeats; rep++ {
-					s := r.repeatSeed(spec, mach, m, rep)
+					s := r.repeatSeed(Cell{Workload: spec, Machine: mach, Method: m}, rep)
 					id := spec.Name + "/" + mach.Name + "/" + m.Key
 					if prev, dup := seen[s]; dup {
 						t.Fatalf("seed collision: %s rep %d and %s share %#x", id, rep, prev, s)
@@ -219,7 +221,7 @@ func TestMeasurePartialFailure(t *testing.T) {
 }
 
 // TestMeasureSamplesDeterministic pins Samples to the first repeat's
-// sample count: Measure must agree with a direct MeasureOnce at the
+// sample count: Measure must agree with a direct measureOnce at the
 // repeat-0 seed, whatever the repeat count.
 func TestMeasureSamplesDeterministic(t *testing.T) {
 	s := SmallScale()
@@ -232,11 +234,66 @@ func TestMeasureSamplesDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, n0, err := r.MeasureOnce(spec, mach, m, r.repeatSeed(spec, mach, m, 0))
+	c := Cell{Workload: spec, Machine: mach, Method: m}
+	_, n0, _, err := r.measureOnce(c, r.repeatSeed(c, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meas.Samples != n0 {
 		t.Errorf("Samples = %d, repeat-0 count = %d", meas.Samples, n0)
+	}
+}
+
+// TestCellTelemetryAccounting: every cell kind reaches the telemetry
+// sink through the one cell path. A sink-attached Runner sweeps a small
+// accuracy grid with an unsupported cell (Magny-Cours has no LBR) — once
+// measured, once served from a store — then the mux policy and a
+// two-column tenants table. The snapshot must validate and count every
+// measured cell exactly once, timed, and every served cell as stored.
+func TestCellTelemetryAccounting(t *testing.T) {
+	sink := &telemetry.Sink{}
+	r := NewRunner(SmallScale(), 42)
+	r.Telemetry = sink
+	g := Grid{
+		Workloads: workloads.Kernels()[:1],
+		Machines:  []machine.Machine{machine.MagnyCours(), machine.IvyBridge()},
+		Methods:   methodsByKey("classic", "lbr"),
+	}
+	st := results.NewMemory()
+	ms, _, err := r.SweepCached(g, st, SweepOptions{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsupported := 0
+	for _, m := range ms {
+		if !m.Supported {
+			unsupported++
+		}
+	}
+	if unsupported == 0 {
+		t.Fatal("grid has no unsupported cell")
+	}
+	if _, stats, err := r.SweepCached(g, st, SweepOptions{Parallel: 2}); err != nil || stats.Cached != g.Size() {
+		t.Fatalf("warm pass: stats %+v, err %v", stats, err)
+	}
+	_, mux, err := r.RunMuxPolicy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tenants, err := r.RunTenants([]int{1, 2}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	snap := sink.Snapshot("accounting")
+	if err := snap.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(g.Size() + len(mux) + len(tenants)); snap.Sweep.CellsMeasured != want {
+		t.Errorf("cells_measured = %d, want %d (%d accuracy + %d mux + %d tenant cells)",
+			snap.Sweep.CellsMeasured, want, g.Size(), len(mux), len(tenants))
+	}
+	if snap.Sweep.CellsStored != uint64(g.Size()) {
+		t.Errorf("cells_stored = %d, want %d", snap.Sweep.CellsStored, g.Size())
 	}
 }

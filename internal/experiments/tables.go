@@ -47,34 +47,70 @@ func (tr *TableResult) Get(workload, mach, method string) float64 {
 // is identical at any worker count and whether cells were measured or
 // served from the store.
 func (r *Runner) runMatrix(title string, specs []workloads.Spec, machines []machine.Machine, methods []sampling.Method) (*TableResult, error) {
-	ms, err := r.sweep(Grid{Workloads: specs, Machines: machines, Methods: methods})
+	g := Grid{Workloads: specs, Machines: machines, Methods: methods}
+	res, _, err := r.sweepCells(g.Cells(), r.Store, r.opts())
 	if err != nil {
 		return nil, err
 	}
-
-	headers := []string{"workload", "machine"}
+	var keys []string
 	for _, m := range methods {
-		headers = append(headers, m.Key)
+		keys = append(keys, m.Key)
 	}
-	t := report.New(title, headers...)
-	tr := &TableResult{Table: t, Cells: make(map[string]map[string]map[string]float64), Measurements: ms}
-
-	i := 0
-	for _, spec := range specs {
-		tr.Cells[spec.Name] = make(map[string]map[string]float64)
-		for _, mach := range machines {
-			tr.Cells[spec.Name][mach.Name] = make(map[string]float64)
-			row := []string{spec.Name, mach.Name}
-			for _, m := range methods {
-				meas := ms[i]
-				i++
-				tr.Cells[spec.Name][mach.Name][m.Key] = meas.Err
-				row = append(row, report.Fmt(meas.Err))
-			}
-			t.AddRow(row...)
+	tr := &TableResult{
+		Table: matrixTable(title, []string{"workload", "machine"}, keys, res),
+		Cells: make(map[string]map[string]map[string]float64),
+	}
+	for _, cr := range res {
+		m := cr.Measurement
+		if tr.Cells[m.Workload] == nil {
+			tr.Cells[m.Workload] = make(map[string]map[string]float64)
 		}
+		if tr.Cells[m.Workload][m.Machine] == nil {
+			tr.Cells[m.Workload][m.Machine] = make(map[string]float64)
+		}
+		tr.Cells[m.Workload][m.Machine][m.Method] = m.Err
+		tr.Measurements = append(tr.Measurements, m)
 	}
 	return tr, nil
+}
+
+// column is one column of a mux or tenant table: a labelled regime.
+type column struct {
+	Label  string
+	Regime Regime
+}
+
+// regimeMatrix sweeps grid g with one regime per column, store-aware
+// like runMatrix, and renders one row per (workload, machine[, method])
+// as named by keys, one column per regime.
+func (r *Runner) regimeMatrix(title string, keys []string, g Grid, cols []column) (*report.Table, []CellResult, error) {
+	var labels []string
+	for _, c := range cols {
+		labels = append(labels, c.Label)
+		g.Regimes = append(g.Regimes, c.Regime)
+	}
+	res, _, err := r.sweepCells(g.Cells(), r.Store, r.opts())
+	if err != nil {
+		return nil, res, err
+	}
+	return matrixTable(title, keys, labels, res), res, nil
+}
+
+// matrixTable renders cell results in Grid.Cells order, len(labels)
+// cells per row: each row is labelled by its first cell's coordinates —
+// as many of (workload, machine, method) as keys names — and holds its
+// cells' errors (a mux cell's mean counting error).
+func matrixTable(title string, keys, labels []string, res []CellResult) *report.Table {
+	t := report.New(title, append(append([]string(nil), keys...), labels...)...)
+	for i := 0; i < len(res); i += len(labels) {
+		c := res[i].cell
+		row := []string{c.Workload.Name, c.Machine.Name, c.Method.Key}[:len(keys)]
+		for _, cr := range res[i : i+len(labels)] {
+			row = append(row, report.Fmt(cr.Err))
+		}
+		t.AddRow(row...)
+	}
+	return t
 }
 
 // RunTable1 reproduces Table 1: accuracy errors of all sampling methods on

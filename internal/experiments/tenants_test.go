@@ -188,4 +188,22 @@ func TestTenantKeySelfSorting(t *testing.T) {
 	if TenantKey(4, 16000, "classic") != "tn-n04-ts16000-classic" {
 		t.Errorf("key format drifted: %s", TenantKey(4, 16000, "classic"))
 	}
+	// KeyKind inverts every key the builder produces, a tenant cell's own
+	// Key included, and maps every plain method key to accuracy.
+	for _, m := range sampling.Registry() {
+		if KeyKind(m.Key) != AccuracyCell {
+			t.Errorf("plain method key %q maps to kind %d", m.Key, KeyKind(m.Key))
+		}
+		for _, n := range append(DefaultTenantCounts(), 16, 99) {
+			for _, ts := range []uint64{0, 4000, 16000, 64000} {
+				c := Cell{Method: m, Regime: Regime{Kind: TenantCell, Tenants: n, Timeslice: ts}}
+				if k := TenantKey(n, ts, m.Key); KeyKind(k) != TenantCell {
+					t.Errorf("KeyKind(%q) = %d, want TenantCell", k, KeyKind(k))
+				}
+				if KeyKind(c.Key()) != c.Regime.Kind {
+					t.Errorf("tenant cell key %q maps to kind %d", c.Key(), KeyKind(c.Key()))
+				}
+			}
+		}
+	}
 }

@@ -54,9 +54,10 @@ type WorkerStats struct {
 	// done-marked; ShardsTaken counts every lease it won (including
 	// shards later abandoned to a supersession).
 	ShardsCompleted, ShardsTaken int
-	// Measured counts cells this worker measured and appended; Served
-	// counts cells of its shards that merge-on-read found already
-	// complete (a predecessor measured them before dying).
+	// Measured counts cells this worker measured (and appended, unless
+	// the measurement failed); Served counts cells of its shards that
+	// merge-on-read found already complete (a predecessor measured them
+	// before dying).
 	Measured, Served int
 	// RefsCollected counts ground-truth reference profiles this worker
 	// executed; RefsServed counts those it loaded from the sweep's
@@ -296,21 +297,11 @@ func (w *Worker) runShard(p *Plan, r *experiments.Runner, shard int, lease *Leas
 	}
 	defer st.Close()
 
-	// Resolve refs and split into already-present and missing cells —
-	// the merge-on-read that makes a predecessor's completed cells
-	// final.
-	var missing []experiments.Cell
-	var served uint64
-	for _, ref := range p.Shards[shard] {
-		c, err := ref.Resolve()
-		if err != nil {
+	cells := make([]experiments.Cell, len(p.Shards[shard]))
+	for i, ref := range p.Shards[shard] {
+		if cells[i], err = ref.Resolve(); err != nil {
 			return err
 		}
-		if _, ok := st.Get(r.CellIdentity(c).Key()); ok {
-			served++
-			continue
-		}
-		missing = append(missing, c)
 	}
 
 	// Heartbeat at TTL/3 until the shard is finished; a failed or
@@ -350,26 +341,21 @@ func (w *Worker) runShard(p *Plan, r *experiments.Runner, shard int, lease *Leas
 		<-hbDone
 	}
 
-	var measured atomic.Int64
-	err = pool.ForEach(len(missing), w.Parallel, 0, func(i int) error {
+	// Each cell runs the Runner's store-aware cell hook against this
+	// generation's view of the shard: cells a predecessor already appended
+	// are served (the merge-on-read that makes its completed cells final),
+	// the rest are measured and appended. A failed cell is not stored, so
+	// a later owner or render pass retries it.
+	err = pool.ForEach(len(cells), w.Parallel, 0, func(i int) error {
 		if superseded.Load() {
 			return nil // abandoned: the new owner measures the rest
 		}
-		c := missing[i]
-		meas, err := r.Measure(c.Workload, c.Machine, c.Method)
-		if err != nil {
-			// Not stored: the cell stays missing and a later owner or
-			// render pass retries it.
-			return fmt.Errorf("%s/%s/%s: %w", c.Workload.Name, c.Machine.Name, c.Method.Key, err)
+		res, err := r.MeasureCell(cells[i], st)
+		if err == nil && !res.Served {
+			w.faultStep(st)
 		}
-		measured.Add(1)
-		if perr := st.Put(r.CellRecord(c, meas)); perr != nil {
-			return fmt.Errorf("%s/%s/%s: %w", c.Workload.Name, c.Machine.Name, c.Method.Key, perr)
-		}
-		w.faultStep(st)
-		return nil
+		return err
 	})
-	w.sink.CountCells(uint64(measured.Load()), served)
 	stopHeartbeat()
 	if superseded.Load() {
 		return fmt.Errorf("shard %d gen %d: %w", shard, lease.Gen, ErrSuperseded)

@@ -58,7 +58,8 @@ type EngineStats struct {
 // SweepStats is the sweep section of a snapshot.
 type SweepStats struct {
 	// CellsMeasured / CellsStored split grid cells into executed vs
-	// served from the results store.
+	// served from the results store. CellsMeasured always equals
+	// CellWallNs.Count: every measured cell is timed.
 	CellsMeasured uint64 `json:"cells_measured"`
 	CellsStored   uint64 `json:"cells_stored"`
 	// RefsMeasured / RefsServed split reference-profile lookups into
@@ -222,7 +223,8 @@ func mergeCounts(a, b map[string]uint64) map[string]uint64 {
 }
 
 // Validate checks the document invariants a reader relies on: known
-// schema, known fallback keys, and buckets summing exactly to the total.
+// schema, known fallback keys, buckets summing exactly to the total, and
+// every measured cell timed exactly once.
 func (s Snapshot) Validate() error {
 	if s.Schema != SnapshotSchema {
 		return fmt.Errorf("telemetry: snapshot schema %d, want %d", s.Schema, SnapshotSchema)
@@ -237,6 +239,10 @@ func (s Snapshot) Validate() error {
 	if sum != s.Engine.FallbackTotal {
 		return fmt.Errorf("telemetry: fallback buckets sum to %d but fallback_total is %d",
 			sum, s.Engine.FallbackTotal)
+	}
+	if s.Sweep.CellsMeasured != s.Sweep.CellWallNs.Count {
+		return fmt.Errorf("telemetry: cells_measured is %d but cell_wall_ns counts %d cells",
+			s.Sweep.CellsMeasured, s.Sweep.CellWallNs.Count)
 	}
 	return nil
 }

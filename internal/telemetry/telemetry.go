@@ -166,11 +166,10 @@ type Sink struct {
 	fusedPairs   atomic.Uint64
 	fallbacks    [NumFallbackReasons]atomic.Uint64
 
-	cellsMeasured atomic.Uint64
-	cellsStored   atomic.Uint64
-	refsMeasured  atomic.Uint64
-	refsServed    atomic.Uint64
-	cellWall      histogram
+	cellsStored  atomic.Uint64
+	refsMeasured atomic.Uint64
+	refsServed   atomic.Uint64
+	cellWall     histogram
 
 	leasesAcquired  atomic.Uint64
 	leaseSteals     atomic.Uint64
@@ -204,8 +203,9 @@ func (s *Sink) CountRun(v Variant) {
 	s.runs[v].Add(1)
 }
 
-// ObserveCellWall records one cell measurement's wall-clock time in the
-// log-bucketed histogram.
+// ObserveCellWall records one measured cell's wall-clock time in the
+// log-bucketed histogram. Its observation count is the snapshot's
+// cells_measured: a cell is measured exactly when it is timed.
 func (s *Sink) ObserveCellWall(d time.Duration) {
 	if s == nil {
 		return
@@ -213,14 +213,13 @@ func (s *Sink) ObserveCellWall(d time.Duration) {
 	s.cellWall.observe(d)
 }
 
-// CountCells records a sweep's served/measured split: measured cells were
-// executed this run, stored cells were served from the results store.
-func (s *Sink) CountCells(measured, stored uint64) {
+// CountStored records cells served from the results store instead of
+// measured.
+func (s *Sink) CountStored(n uint64) {
 	if s == nil {
 		return
 	}
-	s.cellsMeasured.Add(measured)
-	s.cellsStored.Add(stored)
+	s.cellsStored.Add(n)
 }
 
 // CountRef records one reference-profile lookup (served from the memo
@@ -302,11 +301,14 @@ func (s *Sink) Snapshot(runID string) Snapshot {
 		snap.Engine.Fallbacks[r.String()] = v
 		snap.Engine.FallbackTotal += v
 	}
-	snap.Sweep.CellsMeasured = s.cellsMeasured.Load()
+	// Cells measured are derived from the cell-wall histogram, like the
+	// fallback total from its buckets, so no snapshot can catch the two
+	// out of step.
+	snap.Sweep.CellWallNs = s.cellWall.snapshot()
+	snap.Sweep.CellsMeasured = snap.Sweep.CellWallNs.Count
 	snap.Sweep.CellsStored = s.cellsStored.Load()
 	snap.Sweep.RefsMeasured = s.refsMeasured.Load()
 	snap.Sweep.RefsServed = s.refsServed.Load()
-	snap.Sweep.CellWallNs = s.cellWall.snapshot()
 	snap.Fleet.LeasesAcquired = s.leasesAcquired.Load()
 	snap.Fleet.LeaseSteals = s.leaseSteals.Load()
 	snap.Fleet.ShardsCompleted = s.shardsCompleted.Load()

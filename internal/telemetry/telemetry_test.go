@@ -20,7 +20,7 @@ func TestNilSinkSafe(t *testing.T) {
 	s.AddEngine(nil)
 	s.CountRun(VariantFull)
 	s.ObserveCellWall(time.Millisecond)
-	s.CountCells(3, 4)
+	s.CountStored(4)
 	s.CountRef(true)
 	s.CountLease(true)
 	s.CountShardDone()
@@ -50,7 +50,10 @@ func TestSinkAccumulatesAndValidates(t *testing.T) {
 	s.AddEngine(c)
 	s.CountRun(VariantFull)
 	s.CountRun(VariantInterp)
-	s.CountCells(10, 4)
+	for i := 0; i < 10; i++ {
+		s.ObserveCellWall(time.Duration(i) * time.Millisecond)
+	}
+	s.CountStored(4)
 	s.CountRef(true)
 	s.CountRef(false)
 	s.CountLease(false)
@@ -100,6 +103,21 @@ func TestFallbackBucketSumInvariant(t *testing.T) {
 	snap.Engine.Fallbacks["bogus"] = 0
 	if err := snap.Validate(); err == nil {
 		t.Fatal("Validate accepted unknown fallback key")
+	}
+
+	// Every measured cell is timed exactly once: a hand-built document
+	// whose cells_measured disagrees with the cell-wall histogram count
+	// (the drift a separate counter allowed) is rejected.
+	timed := &Sink{}
+	timed.ObserveCellWall(time.Millisecond)
+	timed.ObserveCellWall(time.Millisecond)
+	snap = timed.Snapshot("")
+	if err := snap.Validate(); err != nil {
+		t.Fatalf("Validate rejected consistent cell accounting: %v", err)
+	}
+	snap.Sweep.CellsMeasured = 3
+	if err := snap.Validate(); err == nil {
+		t.Fatal("Validate accepted cells_measured != cell_wall_ns.count")
 	}
 }
 
@@ -177,7 +195,10 @@ func TestMarshalCanonicalDeterministic(t *testing.T) {
 func TestPersistRoundTripAndLoadDir(t *testing.T) {
 	dir := Dir(t.TempDir())
 	s := &Sink{}
-	s.CountCells(5, 2)
+	for i := 0; i < 5; i++ {
+		s.ObserveCellWall(time.Millisecond)
+	}
+	s.CountStored(2)
 	c := &EngineCounters{}
 	c.Fallbacks[FallbackSchedDeadline] = 7
 	s.AddEngine(c)
@@ -239,7 +260,7 @@ func TestDeriveRunID(t *testing.T) {
 
 func TestHandlerEndpoints(t *testing.T) {
 	s := &Sink{}
-	s.CountCells(1, 0)
+	s.ObserveCellWall(time.Millisecond)
 	h := Handler(
 		func() Snapshot { return s.Snapshot("hid") },
 		func() (any, bool) { return map[string]int{"done": 3, "total": 9}, true },
@@ -289,8 +310,10 @@ func TestRenderSummary(t *testing.T) {
 	c.Fallbacks[FallbackHW4LSB] = 5
 	s.AddEngine(c)
 	s.CountRun(VariantFull)
-	s.CountCells(4, 2)
-	s.ObserveCellWall(3 * time.Millisecond)
+	for i := 0; i < 4; i++ {
+		s.ObserveCellWall(3 * time.Millisecond)
+	}
+	s.CountStored(2)
 	snap := s.Snapshot("rid")
 
 	out := RenderSummary(snap)

@@ -29,18 +29,23 @@
 // # Experiment sweeps
 //
 // The reproduction harness in internal/experiments evaluates full
-// (workload × machine × method) grids through a parallel sweep layer:
-// experiments.Grid enumerates the cells, Runner.Sweep dispatches them to
-// a bounded worker pool (GOMAXPROCS workers by default, -parallel on
-// cmd/pmubench to override, -timeout to bound wall-clock time), and the
-// Runner's workload/reference caches are single-flight so concurrent
-// workers never build the same workload twice.
+// (workload × machine × method × regime) grids through a parallel sweep
+// layer: experiments.Grid enumerates the cells, one pool loop dispatches
+// them to a bounded worker pool (GOMAXPROCS workers by default,
+// -parallel on cmd/pmubench to override, -timeout to bound wall-clock
+// time), and the Runner's workload/reference caches are single-flight so
+// concurrent workers never build the same workload twice. A cell's
+// regime makes it a plain accuracy cell (the zero regime), a counter-
+// multiplexing cell or a multi-tenant scheduling cell; all three kinds
+// share one cell type, one repeat loop and one per-cell hook
+// (Runner.MeasureCell), which also times every measured cell into the
+// telemetry sink.
 //
 // Sweeps are deterministic by construction: repeat rep of a cell draws
 // its seed from stats.DeriveSeed(baseSeed, workload, machine, method,
-// rep) — a pure function of the cell identity — so the aggregated
-// results are bit-identical at any worker count and in any completion
-// order. cmd/pmubench exposes the sweep results as rendered tables and,
+// rep) — a pure function of the cell identity (a mux cell uses its
+// MuxKey as the method) — so the aggregated results are bit-identical at
+// any worker count and in any completion order. cmd/pmubench exposes the sweep results as rendered tables and,
 // with -json, as machine-readable per-cell measurement records.
 //
 // # Results store, resumable sweeps and reports
@@ -49,8 +54,11 @@
 // configuration tuple, measurements can be persisted and reused.
 // internal/results keys each cell by a content address over (workload,
 // machine, method, scale, period, base seed, repeats) and appends
-// completed cells to a JSONL store file; Runner.SweepCached serves cells
-// already present and measures only the rest. `pmubench -store
+// completed cells to a JSONL store file; Runner.MeasureCell serves cells
+// already present and measures only the rest. Mux and tenant cells share
+// the store and its one record codec: their regime rides the method axis
+// as a synthetic key (experiments.MuxKey, experiments.TenantKey), and
+// experiments.KeyKind maps a stored key back to its cell kind. `pmubench -store
 // results.jsonl` records a sweep as it runs, and re-running with
 // `-resume` after an interruption re-executes only the missing cells —
 // the final tables are byte-identical to an uninterrupted run.
