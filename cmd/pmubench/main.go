@@ -90,9 +90,10 @@
 // a comma-separated list, default 1,2,4,8) and "tenants-timeslice" the
 // scheduling period at a fixed four tenants. -switch-cost overrides the
 // per-machine context-switch cost in simulated cycles (0 = each model's
-// calibrated default). The n=1 column is collected by the unscheduled
-// sampling path with identical seeds, so it is bit-identical to the
-// plain accuracy tables.
+// calibrated default); a non-zero cost cannot be combined with -store,
+// whose tenant keys assume the default. The n=1 column is collected by
+// the unscheduled sampling path with identical seeds, so it is
+// bit-identical to the plain accuracy tables.
 //
 // "-experiment phased" measures the registered phased/bursty workload
 // family (the hand-built PhaseShift plus the spec-generated alternate,
@@ -240,6 +241,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pmubench: -resume requires -store")
 		os.Exit(2)
 	}
+	if *switchCost != 0 && *storePath != "" {
+		// Tenant store keys do not encode the switch cost, so a stored
+		// non-default-cost cell would later be served as a default-cost one.
+		fmt.Fprintln(os.Stderr, "pmubench: -switch-cost cannot be combined with -store (stored tenant cells are keyed at the default cost)")
+		os.Exit(2)
+	}
 	engine, err := sampling.EngineByName(*engineName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pmubench: %v\n", err)
@@ -368,8 +375,8 @@ func main() {
 	// Coordinator mode: run the distributed sweep to completion, then
 	// attach the merged shard files as the runner's store and fall through
 	// to the normal experiment path — the final render is served entirely
-	// from worker-written records (the store summary proves it: 0 newly
-	// measured), and any cell the fleet failed on is measured here.
+	// from worker-written records (the store summary proves it:
+	// measured=0), and any cell the fleet failed on is measured here.
 	storeLabel := *storePath
 	if *serve {
 		if *specFile != "" {
@@ -660,7 +667,7 @@ func main() {
 	}
 	if store != nil {
 		// The served/measured split is the resume observable: a fully
-		// warm resume reports "0 newly measured".
+		// warm resume logs this line with measured=0.
 		stats := r.StoreStats()
 		logger.Info("store summary", "store", storeLabel, "run_id", runID,
 			"records", store.Len(), "served", stats.Cached, "measured", stats.Measured)

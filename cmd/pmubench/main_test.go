@@ -1,7 +1,10 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"sort"
@@ -132,6 +135,36 @@ func TestServeUsageMatchesGrids(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("GridByName accepts %q but the -serve usage clause omits it", name)
+		}
+	}
+}
+
+// TestSwitchCostWithStoreRefused pins the -switch-cost/-store conflict:
+// tenant store keys do not encode the switch cost, so a non-default cost
+// must never write to (or resume from) a store. The test re-executes its
+// own binary as pmubench and expects exit status 2 before any store file
+// is created.
+func TestSwitchCostWithStoreRefused(t *testing.T) {
+	if args := os.Getenv("PMUBENCH_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"pmubench"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, extra := range []string{"", " -resume"} {
+		store := filepath.Join(t.TempDir(), "store.jsonl")
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSwitchCostWithStoreRefused$")
+		cmd.Env = append(os.Environ(),
+			"PMUBENCH_TEST_ARGS=-experiment tenants -scale small -switch-cost 500 -store "+store+extra)
+		out, err := cmd.CombinedOutput()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+			t.Fatalf("-switch-cost 500 -store%s: err = %v, want exit status 2\n%s", extra, err, out)
+		}
+		if !strings.Contains(string(out), "-switch-cost cannot be combined with -store") {
+			t.Errorf("-switch-cost 500 -store%s: message does not name the conflict:\n%s", extra, out)
+		}
+		if _, err := os.Stat(store); !os.IsNotExist(err) {
+			t.Errorf("-switch-cost 500 -store%s: store file touched (stat err %v)", extra, err)
 		}
 	}
 }

@@ -47,9 +47,9 @@ func RunEngine(p *program.Program, cfg Config, mon Monitor, maxInstrs uint64, en
 // of internal/pmu. The Result-shaped classes (instructions, uops, taken
 // branches, conditional branches, mispredicts) are computed as deltas of
 // the engine's own run counters at flush time; the remaining classes cost
-// one increment in the already-dispatched opcode case of the full loop,
-// so richer multiplexed counting (loads, stores, FP ops, call/ret pairs)
-// never forces the engine out of stride mode.
+// one increment in the already-dispatched opcode case of the full stride
+// body, so richer multiplexed counting (loads, stores, FP ops, call/ret
+// pairs) never forces the engine out of stride mode.
 type BulkCounts struct {
 	// Instrs is the number of retired instructions.
 	Instrs uint64
@@ -71,8 +71,8 @@ type BulkCounts struct {
 
 // BulkClass is a bitmask over the fields of BulkCounts. Monitors use it
 // (through BulkClassHinter) to declare which classes they actually read,
-// which lets RunFast pick a specialized stride loop that skips the
-// bookkeeping for every class the monitor ignores.
+// which lets RunFast pick the lean stride body when every class read is
+// one the engine tracks anyway.
 type BulkClass uint16
 
 const (
@@ -102,16 +102,17 @@ const (
 	BulkAll BulkClass = 1<<10 - 1
 )
 
-// leanBulkClasses are the classes the lean stride loop materializes: the
-// ones the engine tracks for Result anyway, so their BulkCounts fields
-// are flush-time deltas with zero per-instruction cost.
+// leanBulkClasses are the classes the lean stride body delivers: the ones
+// the engine tracks for Result anyway, so their BulkCounts fields are
+// flush-time deltas with zero per-instruction cost. The flush sends every
+// other class as zero after a lean stride.
 const leanBulkClasses = BulkInstrs | BulkUops | BulkTakenBranches | BulkCondBranches | BulkMispredicts
 
 // BulkClassHinter is an optional refinement of FastMonitor: a monitor
 // that implements it promises to read only the hinted BulkCounts fields
 // in BulkRetire — every other field may arrive as zero. The hint (and
 // WantBranches) must be constant over a run: RunFast consults both once
-// at setup to select a specialized loop. The PMU hints the class of its
+// at setup to select the stride body. The PMU hints the class of its
 // configured event; the mux hints the union over its event set plus its
 // inner unit's hint.
 type BulkClassHinter interface {
@@ -138,7 +139,8 @@ type BulkClassHinter interface {
 //     is near).
 //
 // The PMU and the multiplexed virtual PMU (internal/pmu PMU and Mux) are
-// the production implementations; NopMonitor implements it trivially.
+// the production implementations; NopMonitor implements it trivially
+// (one unbounded grant, so a timing-only run is a single lean stride).
 type FastMonitor interface {
 	Monitor
 
@@ -179,29 +181,28 @@ func (NopMonitor) BulkRetire(c BulkCounts) {}
 // BulkClasses implements BulkClassHinter: a NopMonitor reads nothing.
 func (NopMonitor) BulkClasses() BulkClass { return 0 }
 
-// Variant identifies which specialized execution loop RunFast selects for
-// a monitor. The variants differ only in which bookkeeping they elide —
+// Variant identifies which execution path RunFast selects for a monitor:
+// the interpreter, or the one fast loop with its lean or full stride
+// body. The stride bodies differ only in which bookkeeping they elide —
 // every observable (Result, event stream, bulk totals, branch stream,
-// error text) is bit-identical across all of them and the interpreter;
-// the differential harness runs its full battery against each.
+// error text) is bit-identical across both and the interpreter; the
+// differential harness runs its full battery against each.
 type Variant uint8
 
 const (
-	// VariantFull is the fully general stride loop: per-class bulk
+	// VariantFull is the fully general stride body: per-class bulk
 	// accumulation and the OnFastBranch stream. Selected for any
 	// FastMonitor that wants branches, reads classes beyond the
 	// Result-shaped set, or does not hint.
 	VariantFull Variant = iota
-	// VariantLean is the counting-only loop: no branch stream, and every
-	// bulk class the monitor reads is a flush-time delta of the engine's
-	// own run counters — the stride body carries no monitor bookkeeping
-	// at all. Selected for hinting monitors whose classes fit the
-	// Result-shaped set (a sampling PMU on a Result-shaped event, a mux
-	// over Result-shaped events with a conforming or absent inner unit).
+	// VariantLean is the counting-only stride body: no branch stream, and
+	// every bulk class the monitor reads is a flush-time delta of the
+	// engine's own run counters — the stride body carries no monitor
+	// bookkeeping at all. Selected for hinting monitors whose classes fit
+	// the Result-shaped set (a sampling PMU on a Result-shaped event, a
+	// mux over Result-shaped events with a conforming or absent inner
+	// unit, NopMonitor).
 	VariantLean
-	// VariantNop is the monitor-free loop: no headroom protocol, no
-	// flushes, no streams. Selected for NopMonitor (timing-only runs).
-	VariantNop
 	// VariantInterp marks a monitor with no FastMonitor implementation:
 	// RunFast falls back to the reference interpreter.
 	VariantInterp
@@ -214,8 +215,6 @@ func (v Variant) String() string {
 		return "full"
 	case VariantLean:
 		return "lean"
-	case VariantNop:
-		return "nop"
 	case VariantInterp:
 		return "interp"
 	default:
@@ -223,15 +222,12 @@ func (v Variant) String() string {
 	}
 }
 
-// FastVariant reports the specialized loop RunFast will select for mon.
+// FastVariant reports the execution path RunFast will select for mon.
 // Exported so the differential suites can prove they cover every variant.
 func FastVariant(mon Monitor) Variant {
 	fm, ok := mon.(FastMonitor)
 	if !ok {
 		return VariantInterp
-	}
-	if _, ok := fm.(NopMonitor); ok {
-		return VariantNop
 	}
 	if h, ok := fm.(BulkClassHinter); ok &&
 		!fm.WantBranches() && h.BulkClasses()&^leanBulkClasses == 0 {
@@ -517,16 +513,16 @@ func (pr *predictor) predictUpdate(pc uint32, taken bool) bool {
 // counter within one block of overflow, armed PEBS capture window, pending
 // imprecise PMI or displaced IBS tag).
 //
-// The loop itself is specialized to the monitor's shape at setup (see
-// Variant and FastVariant): NopMonitor runs a monitor-free loop,
-// counting-only monitors whose bulk classes fit the Result-shaped set run
-// a loop whose stride body carries no monitor bookkeeping at all, and
-// everything else runs the fully general loop. Interface dispatch on the
-// monitor therefore never appears inside a stride — only at flush
-// boundaries and in event mode.
+// One loop serves every FastMonitor; only its stride body is specialized
+// to the monitor's shape at setup (see Variant and FastVariant).
+// Counting-only monitors whose bulk classes fit the Result-shaped set —
+// NopMonitor among them — run a stride body that carries no monitor
+// bookkeeping at all; everything else runs the fully general body.
+// Interface dispatch on the monitor therefore never appears inside a
+// lean stride — only at flush boundaries and in event mode.
 //
 // Functional semantics, the timing model, Result, the sample stream and
-// error text are bit-identical to Run across every variant; the
+// error text are bit-identical to Run across both stride bodies; the
 // differential harness in this package and internal/sampling enforces it.
 // Opcodes must be valid and register indices < isa.NumRegs —
 // program.Validate checks both, and Build never produces anything else.
@@ -541,16 +537,11 @@ func RunFast(p *program.Program, cfg Config, mon Monitor, maxInstrs uint64) (Res
 	if maxInstrs == 0 {
 		maxInstrs = 1 << 40
 	}
-	switch FastVariant(mon) {
-	case VariantInterp:
+	v := FastVariant(mon)
+	if v == VariantInterp {
 		return Run(p, cfg, mon, maxInstrs)
-	case VariantNop:
-		return runFastNop(p, cfg, maxInstrs)
-	case VariantLean:
-		return runFastLean(p, cfg, mon.(FastMonitor), maxInstrs)
-	default:
-		return runFastFull(p, cfg, mon.(FastMonitor), maxInstrs)
 	}
+	return runFast(p, cfg, mon.(FastMonitor), maxInstrs, v == VariantLean)
 }
 
 // fastResult folds the hoisted counters back into a Result.

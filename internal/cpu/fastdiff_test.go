@@ -417,14 +417,15 @@ func diffProgram(p *program.Program, maxInstrs uint64) string {
 		}
 	}
 
-	// Nop variant: the monitor-free loop has no monitor observables, but
-	// its Result and error must still be bit-identical.
+	// NopMonitor: the lean loop under one unbounded grant. It has no
+	// monitor observables, but its Result and error must still be
+	// bit-identical.
 	rn, errn := cpu.RunFast(p, cpuCfg, cpu.NopMonitor{}, streamCap)
 	if err := diffErrs(erri, errn); err != nil {
-		return "nop variant: " + err.Error()
+		return "NopMonitor (lean, unbounded grant): " + err.Error()
 	}
 	if err := diffResults(ri, rn); err != nil {
-		return "nop variant: " + err.Error()
+		return "NopMonitor (lean, unbounded grant): " + err.Error()
 	}
 
 	// PMU configurations: sample-stream equality. Tiny periods sample
@@ -563,13 +564,49 @@ func TestFuzzEngineEquivalence(t *testing.T) {
 	}
 }
 
+// FuzzEngineDiff is the coverage-guided form of the randomized battery:
+// the fuzzer drives the generator seed and its shape knobs, clamped into
+// the range between a one-block program and BigGenConfig, and every
+// program must pass diffProgram. The instruction cap keeps each input
+// fast; both engines always run under the same cap, so limit cuts are
+// compared exactly like halts.
+func FuzzEngineDiff(f *testing.F) {
+	for _, c := range []struct {
+		seed               uint64
+		funcs, loops       uint8
+		trips              uint16
+		blockLen, diamonds uint8
+		memWords           uint16
+	}{
+		{0, 2, 2, 80, 10, 2, 256},   // DefaultGenConfig
+		{7, 2, 2, 80, 10, 2, 256},   // DefaultGenConfig, another seed
+		{6, 3, 3, 300, 24, 3, 1024}, // BigGenConfig: hits the cap
+		{3, 0, 0, 1, 1, 0, 1},       // one function, no loops, one word
+		{1, 3, 1, 7, 2, 3, 0},       // many calls, short blocks, default memory
+	} {
+		f.Add(c.seed, c.funcs, c.loops, c.trips, c.blockLen, c.diamonds, c.memWords)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, funcs, loops uint8, trips uint16, blockLen, diamonds uint8, memWords uint16) {
+		cfg := program.GenConfig{
+			Funcs:    int(min(funcs, 3)),
+			Loops:    int(min(loops, 3)),
+			Trips:    int64(max(min(trips, 300), 1)),
+			BlockLen: int(max(min(blockLen, 24), 1)),
+			Diamonds: int(min(diamonds, 3)),
+			MemWords: int(min(memWords, 1024)),
+		}
+		if msg := diffProgram(program.Random(seed, cfg), 500_000); msg != "" {
+			t.Fatalf("engine divergence at seed %d, cfg %+v: %s", seed, cfg, msg)
+		}
+	})
+}
+
 // TestDiffBatteryCoversAllVariants pins the variant classification of
 // every monitor shape the differential battery drives through RunFast:
 // the fuzz battery only proves what it covers, so the covered set must
-// provably span all three specialized loops plus the interpreter
-// fallback. If a classification rule changes and silently reroutes a
-// battery monitor to a different loop, this test fails before the
-// coverage gap can hide.
+// provably span both stride bodies plus the interpreter fallback. If a
+// classification rule changes and silently reroutes a battery monitor to
+// a different body, this test fails before the coverage gap can hide.
 func TestDiffBatteryCoversAllVariants(t *testing.T) {
 	type entry struct {
 		name string
@@ -582,7 +619,7 @@ func TestDiffBatteryCoversAllVariants(t *testing.T) {
 		{"mixRecorder", &mixRecorder{schedule: []uint64{1}}, cpu.VariantFull},
 		{"leanStreamRecorder", &leanStreamRecorder{}, cpu.VariantLean},
 		{"leanMixRecorder", &leanMixRecorder{schedule: []uint64{1}}, cpu.VariantLean},
-		{"NopMonitor", cpu.NopMonitor{}, cpu.VariantNop},
+		{"NopMonitor", cpu.NopMonitor{}, cpu.VariantLean},
 	}
 	// The PMU grid must exercise both the lean loop (counting-shaped
 	// events, no LBR) and the full loop (LBR capture wants the branch
@@ -613,10 +650,15 @@ func TestDiffBatteryCoversAllVariants(t *testing.T) {
 		}
 		covered[got] = true
 	}
-	for _, v := range []cpu.Variant{cpu.VariantInterp, cpu.VariantNop, cpu.VariantLean, cpu.VariantFull} {
+	for _, v := range []cpu.Variant{cpu.VariantInterp, cpu.VariantLean, cpu.VariantFull} {
 		if !covered[v] {
 			t.Errorf("differential battery covers no %v monitor", v)
 		}
+	}
+	// Those three are every path RunFast has: a new variant must come
+	// with its own battery monitor and an entry above.
+	if got := (cpu.VariantInterp + 1).String(); got != "unknown" {
+		t.Errorf("variant after interp is %q: the battery does not cover it", got)
 	}
 }
 

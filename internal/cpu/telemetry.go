@@ -25,8 +25,6 @@ func (v Variant) TelemetryVariant() telemetry.Variant {
 		return telemetry.VariantFull
 	case VariantLean:
 		return telemetry.VariantLean
-	case VariantNop:
-		return telemetry.VariantNop
 	default:
 		return telemetry.VariantInterp
 	}
@@ -34,7 +32,7 @@ func (v Variant) TelemetryVariant() telemetry.Variant {
 
 // recordFused credits the predecoded program's superinstruction fusions
 // to an observing monitor's counter block: a per-run static count,
-// recorded once at decode time (the stride loops never touch it).
+// recorded once at decode time (the stride bodies never touch it).
 func recordFused(fm FastMonitor, code []fastInstr) {
 	o, ok := fm.(EngineObserver)
 	if !ok {

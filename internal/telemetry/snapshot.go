@@ -36,7 +36,8 @@ type Snapshot struct {
 // EngineStats is the engine section of a snapshot.
 type EngineStats struct {
 	// Runs counts collection runs by execution variant (full / lean /
-	// nop / interp).
+	// interp). Keys are free-form so snapshots written by older builds
+	// (which also counted a "nop" variant) still read and merge.
 	Runs map[string]uint64 `json:"runs"`
 	// Strides / StrideInstrs count fast-path stride flushes and the
 	// instructions they covered; EventInstrs counts per-instruction

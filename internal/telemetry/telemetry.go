@@ -88,18 +88,15 @@ func (r FallbackReason) String() string {
 }
 
 // Variant names which execution path served a run, mirroring the engine's
-// monitor-specialized loop selection (cpu.Variant) plus the reference
-// interpreter. Defined here rather than aliased so telemetry stays a
-// leaf package.
+// stride-body selection (cpu.Variant) plus the reference interpreter.
+// Defined here rather than aliased so telemetry stays a leaf package.
 type Variant uint8
 
 const (
-	// VariantFull is the general fast-engine stride loop.
+	// VariantFull is the fast engine with its general stride body.
 	VariantFull Variant = iota
-	// VariantLean is the reduced-bookkeeping fast-engine loop.
+	// VariantLean is the fast engine with its counting-only stride body.
 	VariantLean
-	// VariantNop is the no-monitor timing loop.
-	VariantNop
 	// VariantInterp is the per-instruction reference interpreter.
 	VariantInterp
 
@@ -114,8 +111,6 @@ func (v Variant) String() string {
 		return "full"
 	case VariantLean:
 		return "lean"
-	case VariantNop:
-		return "nop"
 	case VariantInterp:
 		return "interp"
 	default:

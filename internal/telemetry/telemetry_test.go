@@ -214,6 +214,19 @@ func TestPersistRoundTripAndLoadDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A document persisted before the engine dropped its nop variant
+	// still carries an engine.runs.nop key: it reads, validates and
+	// merges like any other, its nop runs kept as they were.
+	old := `{"schema":1,"run_id":"run","engine":{"runs":{"full":1,"interp":0,"lean":2,"nop":4},` +
+		`"strides":3,"stride_instrs":90,"event_instrs":10,"fused_pairs":0,` +
+		`"fallbacks":{"armed_pebs":1},"fallback_total":1},"sweep":{"cells_stored":1},"fleet":{"workers":1}}`
+	if err := os.WriteFile(filepath.Join(dir, "worker-old.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadSnapshot(filepath.Join(dir, "worker-old.json")); err != nil || got.Engine.Runs["nop"] != 4 {
+		t.Fatalf("pre-change snapshot: runs %v err %v", got.Engine.Runs, err)
+	}
+
 	got, err := ReadSnapshot(filepath.Join(dir, "worker-a.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +239,14 @@ func TestPersistRoundTripAndLoadDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 || merged.Fleet.Workers != 2 || merged.Sweep.CellsStored != 5 || merged.RunID != "run" {
+	if n != 3 || merged.Fleet.Workers != 3 || merged.Sweep.CellsStored != 6 || merged.RunID != "run" {
 		t.Fatalf("LoadDir: n=%d %+v", n, merged)
+	}
+	if err := merged.Validate(); err != nil {
+		t.Fatalf("LoadDir merge with pre-change snapshot: %v", err)
+	}
+	if r := merged.Engine.Runs; r["nop"] != 4 || r["lean"] != 2 || r["full"] != 1 {
+		t.Errorf("merged runs: %v", r)
 	}
 
 	// Missing directory is an empty fleet.
